@@ -21,12 +21,15 @@ aggregation family so both can run on the same kernel backends:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.amg.coarse import CoarseSolver
-from repro.amg.galerkin import galerkin_product
+from repro.amg.galerkin import (
+    INTERP, SetupProduct, csr_product, galerkin_product,
+)
 from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams
 from repro.amg.smoothers import l1_jacobi_diagonal
 from repro.amg.strength import strength_of_connection
@@ -227,7 +230,7 @@ def smoothed_prolongator(
 def sa_setup(
     a: CSRMatrix,
     params: SetupParams | None = None,
-    spgemm: SpGEMMFn | None = None,
+    spgemm: SetupProduct | None = None,
     omega: float | None = None,
     nullspace: np.ndarray | None = None,
 ) -> AMGHierarchy:
@@ -237,6 +240,8 @@ def sa_setup(
     size; the coarsening is aggregation instead of PMIS and the
     prolongator is the smoothed tentative operator (3 SpGEMMs per level:
     1 smoothing + 2 Galerkin, the same count as the classical path).
+    ``spgemm`` is a :data:`~repro.amg.galerkin.SetupProduct`, called with
+    each product's level index and role.
 
     ``nullspace`` supplies a near-nullspace basis ``(n, k)`` that
     ``range(P)`` must contain (rigid-body modes for elasticity via
@@ -247,17 +252,8 @@ def sa_setup(
     if a.nrows != a.ncols:
         raise ValueError("AMG requires a square matrix")
     params = params or SetupParams()
+    product = spgemm or csr_product
     spgemm_calls = 0
-
-    def counted(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-        nonlocal spgemm_calls
-        spgemm_calls += 1
-        if spgemm is None:
-            from repro.kernels.baseline import csr_spgemm
-
-            return csr_spgemm(x, y)[0]
-        return spgemm(x, y)
-
     levels: list[AMGLevel] = []
     current = a
     current_ns = None
@@ -290,9 +286,14 @@ def sa_setup(
                 break  # k columns per aggregate stopped shrinking the space
         else:
             p_tent, next_ns = tentative_prolongator(agg), None
-        p = smoothed_prolongator(current, p_tent, omega=omega, spgemm=counted)
+        p = smoothed_prolongator(
+            current, p_tent, omega=omega,
+            spgemm=partial(product, level=level.index, role=INTERP),
+        )
         r = p.transpose()
-        coarse = galerkin_product(r, current, p, spgemm=counted, drop_tol=0.0)
+        coarse = galerkin_product(r, current, p, spgemm=product,
+                                  level=level.index, drop_tol=0.0)
+        spgemm_calls += 3
         level.p = p
         level.r = r
         current = coarse

@@ -2,8 +2,9 @@
 
 ``amg_setup`` iterates coarsening -> interpolation -> Galerkin product
 until the grid is small enough or the level cap is reached.  All matrix
-products go through an injected SpGEMM callable, so the same driver serves
-the CSR baseline and the mBSR/tensor-core AmgT backend; the hypre layer
+products go through an injected SpGEMM callable, told each product's level
+and role, so the same driver serves the CSR baseline and the
+mBSR/tensor-core AmgT backend at any precision schedule; the hypre layer
 wraps the kernels with format conversions (CSR2MBSR before the products,
 MBSR2CSR after RAP) and timing, mirroring the numbered steps of Fig. 6.
 
@@ -14,13 +15,16 @@ operators ``P^k`` (interpolation from level k+1) and ``R^k = (P^k)^T``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.amg.coarse import CoarseSolver
 from repro.amg.coarsen import pmis_coarsen
-from repro.amg.galerkin import galerkin_product
+from repro.amg.galerkin import (
+    INTERP, SetupProduct, csr_product, finish_galerkin, galerkin_product,
+)
 from repro.amg.interp import build_interpolation
 from repro.amg.smoothers import l1_jacobi_diagonal
 from repro.amg.strength import strength_of_connection
@@ -30,7 +34,8 @@ from repro.obs import names as obs_names
 
 __all__ = ["SetupParams", "AMGLevel", "AMGHierarchy", "amg_setup"]
 
-SpGEMMFn = Callable[[CSRMatrix, CSRMatrix], CSRMatrix]
+#: ``fused_rap(r, a, p, *, level) -> R @ A @ P`` in one fused pass.
+FusedRAP = Callable[..., CSRMatrix]
 
 
 @dataclass(frozen=True)
@@ -141,11 +146,10 @@ class AMGHierarchy:
 def amg_setup(
     a: CSRMatrix,
     params: SetupParams | None = None,
-    spgemm: SpGEMMFn | None = None,
+    spgemm: SetupProduct | None = None,
     *,
-    on_level_built: Callable[[int, CSRMatrix], None] | None = None,
     reuse: AMGHierarchy | None = None,
-    galerkin_planner: Callable | None = None,
+    fused_rap: FusedRAP | None = None,
     patch: bool = False,
     patcher=None,
     patch_threshold: float = 0.5,
@@ -159,11 +163,12 @@ def amg_setup(
     params:
         Setup configuration; defaults to the paper's.
     spgemm:
-        Injected SpGEMM used for interpolation and the Galerkin product.
-    on_level_built:
-        Optional callback invoked with ``(level_index, A_level)`` as each
-        coarse matrix is produced (the hypre layer uses it for per-level
-        bookkeeping such as format conversions).
+        Injected :data:`~repro.amg.galerkin.SetupProduct` used for
+        interpolation and the Galerkin product; defaults to the CSR
+        baseline.  Every path (cold, exact re-setup, patch through the
+        CSR patcher, fallback) calls it with the product's level index
+        and role, so a backend prices each product at its level's
+        precision without tracking call order.
     reuse:
         A hierarchy from an earlier setup on a same-pattern matrix.  When
         the pattern fingerprints match level by level, coarsening and
@@ -178,11 +183,11 @@ def amg_setup(
         family: with ``amg_family='aggregation'`` the argument is ignored,
         a full setup runs, and a ``setup_reuse_total{outcome='fallback',
         reason='amg-family'}`` counter records the miss.
-    galerkin_planner:
-        Optional ``planner(r, a, p) -> plan`` producing fused RAP plans
-        for :func:`~repro.amg.galerkin.galerkin_product` during a reused
-        setup (the AmgT backend's ``galerkin_plan``).  Ignored on the full
-        path.
+    fused_rap:
+        Optional ``fused_rap(r, a, p, level=k) -> R @ A @ P`` the exact
+        re-setup calls instead of the two-product Galerkin chain (the AmgT
+        backend's fused plan replay); it counts as two SpGEMM calls.
+        Ignored on every other path.
     patch:
         With ``reuse``, try the *incremental patch path* first
         (:func:`repro.amg.patch.patched_resetup`): diff per-row value
@@ -208,9 +213,8 @@ def amg_setup(
     with obs_trace.phase_span("setup"):
         return _amg_setup_impl(
             a, params, spgemm,
-            on_level_built=on_level_built,
             reuse=reuse,
-            galerkin_planner=galerkin_planner,
+            fused_rap=fused_rap,
             patch=patch,
             patcher=patcher,
             patch_threshold=patch_threshold,
@@ -233,11 +237,10 @@ def _count_reuse(outcome: str, reason: str | None = None) -> None:
 def _amg_setup_impl(
     a: CSRMatrix,
     params: SetupParams,
-    spgemm: SpGEMMFn | None,
+    spgemm: SetupProduct | None,
     *,
-    on_level_built: Callable[[int, CSRMatrix], None] | None,
     reuse: AMGHierarchy | None,
-    galerkin_planner: Callable | None,
+    fused_rap: FusedRAP | None = None,
     patch: bool = False,
     patcher=None,
     patch_threshold: float = 0.5,
@@ -253,7 +256,6 @@ def _amg_setup_impl(
             a, reuse, params, spgemm,
             patcher=patcher,
             threshold=patch_threshold,
-            on_level_built=on_level_built,
         )
         if hierarchy is not None:
             _count_reuse("patched")
@@ -263,9 +265,7 @@ def _amg_setup_impl(
                 from repro.check.structural import validate_hierarchy
 
                 validate_hierarchy(hierarchy)
-                verify_patched_hierarchy(
-                    hierarchy, a, params, spgemm, on_level_built
-                )
+                verify_patched_hierarchy(hierarchy, a, params, spgemm)
             return hierarchy
         # The patch path falls back to a *cold* setup, not the exact
         # re-setup: exact reuse freezes interpolation weights, which is a
@@ -278,7 +278,7 @@ def _amg_setup_impl(
         blackbox.trigger("patch-fallback", detail=reason or "")
     elif reuse is not None:
         hierarchy, reason = _numeric_resetup(
-            a, reuse, params, spgemm, galerkin_planner, on_level_built
+            a, reuse, params, spgemm, fused_rap
         )
         if hierarchy is not None:
             _count_reuse("exact")
@@ -295,6 +295,13 @@ def _amg_setup_impl(
     levels: list[AMGLevel] = []
     current = a
     spgemm_calls = 0
+    product = spgemm or csr_product
+
+    def counted(x: CSRMatrix, y: CSRMatrix, *, level: int,
+                role: str) -> CSRMatrix:
+        nonlocal spgemm_calls
+        spgemm_calls += 1
+        return product(x, y, level=level, role=role)
 
     while True:
         level = AMGLevel(index=len(levels), a=current)
@@ -331,17 +338,6 @@ def _amg_setup_impl(
         if nc == 0 or nc >= current.nrows * params.min_coarsen_rate or nc == current.nrows:
             break
         level.cf_marker = coarsening.cf_marker
-
-        def counting_spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-            nonlocal spgemm_calls
-            spgemm_calls += 1
-            fn = spgemm
-            if fn is None:
-                from repro.kernels.baseline import csr_spgemm
-
-                return csr_spgemm(x, y)[0]
-            return fn(x, y)
-
         p = build_interpolation(
             current,
             strength,
@@ -349,20 +345,13 @@ def _amg_setup_impl(
             method=params.interp_method,
             trunc_factor=params.trunc_factor,
             max_elmts=params.max_elmts,
-            spgemm=counting_spgemm if params.interp_method == "extended+i" else None,
+            spgemm=partial(counted, level=level.index, role=INTERP),
         )
-        if params.interp_method != "extended+i":
-            # direct interpolation performs no SpGEMM, but the paper's flow
-            # (and our accounting) always uses the MM-based method; keep
-            # the counter consistent for the alternative path too.
-            pass
         r = p.transpose()
-        coarse = galerkin_product(r, current, p, spgemm=counting_spgemm,
-                                  drop_tol=0.0)
+        coarse = galerkin_product(r, current, p, spgemm=counted,
+                                  level=level.index, drop_tol=0.0)
         level.p = p
         level.r = r
-        if on_level_built is not None:
-            on_level_built(len(levels), coarse)
         current = coarse
 
     coarse_solver = CoarseSolver(levels[-1].a, method=params.coarse_solver)
@@ -386,9 +375,8 @@ def _numeric_resetup(
     a: CSRMatrix,
     reuse: AMGHierarchy,
     params: SetupParams,
-    spgemm: SpGEMMFn | None,
-    galerkin_planner: Callable | None,
-    on_level_built: Callable[[int, CSRMatrix], None] | None,
+    spgemm: SetupProduct | None,
+    fused_rap: FusedRAP | None,
 ) -> tuple[AMGHierarchy | None, str | None]:
     """Re-run only the numeric Galerkin passes against cached structure.
 
@@ -430,33 +418,18 @@ def _numeric_resetup(
         level.dinv = 1.0 / l1_jacobi_diagonal(current)
         levels.append(level)
 
-        def counting_spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-            nonlocal spgemm_calls
-            spgemm_calls += 1
-            if spgemm is None:
-                from repro.kernels.baseline import csr_spgemm
-
-                return csr_spgemm(x, y)[0]
-            return spgemm(x, y)
-
-        plan = None
-        if galerkin_planner is not None:
-            plan = galerkin_planner(cached.r, current, cached.p)
-        coarse = galerkin_product(
-            cached.r, current, cached.p, spgemm=counting_spgemm,
-            drop_tol=0.0, plan=plan,
-        )
-        if plan is not None and getattr(plan, "consumed", False):
-            # The fused replay ran both products without touching the
-            # spgemm closure; keep the call accounting consistent.
-            spgemm_calls += 2
+        if fused_rap is None:
+            coarse = galerkin_product(cached.r, current, cached.p, spgemm,
+                                      level=k, drop_tol=0.0)
+        else:
+            rap = fused_rap(cached.r, current, cached.p, level=k)
+            coarse = finish_galerkin(cached.r, current, cached.p, rap)
+        spgemm_calls += 2
         if coarse.pattern_key() != reuse.pattern_keys[k + 1]:
             # Numeric cancellation (or a genuinely different operator)
             # changed the coarse structure: the frozen interpolation no
             # longer matches what a full setup would build.
             return None, "pattern-drift"
-        if on_level_built is not None:
-            on_level_built(k + 1, coarse)
         current = coarse
 
     last = AMGLevel(index=reuse.num_levels - 1, a=current)

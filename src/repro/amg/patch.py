@@ -32,11 +32,11 @@ that cold setup and compares, level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.amg.coarse import CoarseSolver
+from repro.amg.galerkin import INTERP, RA, RAP, SetupProduct, csr_product
 from repro.amg.hierarchy import AMGHierarchy, AMGLevel, SetupParams
 from repro.amg.interp import build_interpolation
 from repro.amg.smoothers import l1_jacobi_diagonal
@@ -94,28 +94,26 @@ class CSRPatcher:
     """Row-ranged product engine for the scalar CSR backends.
 
     The CSR SpGEMM is row-local, so computing ``A[rows] @ B`` through the
-    very SpGEMM callable the cold setup uses reproduces the selected rows
-    of the full product bit for bit.  The AmgT backend supplies its own
-    patcher (block-aligned mBSR replays over the spliced plan cache);
-    this one serves the baseline and the HYPRE vendor path.
+    very setup product the cold setup uses, at the same level and role,
+    reproduces the selected rows of the full product bit for bit.  The
+    AmgT backend supplies its own patcher (block-aligned mBSR replays over
+    the spliced plan cache); this one serves the baseline and the HYPRE
+    vendor path.
     """
 
-    def __init__(self, spgemm: Callable | None = None):
-        if spgemm is None:
-            def spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-                from repro.kernels.baseline import csr_spgemm
-
-                return csr_spgemm(x, y)[0]
-        self.spgemm = spgemm
+    def __init__(self, spgemm: SetupProduct | None = None):
+        self.spgemm = spgemm or csr_product
 
     def interp_rows(self, level, a_op, b_op, fpos):
         """Selected rows of ``a_op @ b_op`` (the extended+i product)."""
-        return self.spgemm(a_op.extract_rows(fpos), b_op), fpos
+        return self.spgemm(a_op.extract_rows(fpos), b_op, level=level,
+                           role=INTERP), fpos
 
     def galerkin_rows(self, level, r_new, a_new, p_new, rows, dirt):
         """Selected rows of ``R @ A @ P`` after zero pruning."""
-        ra = self.spgemm(r_new.extract_rows(rows), a_new)
-        rap = self.spgemm(ra, p_new)
+        ra = self.spgemm(r_new.extract_rows(rows), a_new, level=level,
+                         role=RA)
+        rap = self.spgemm(ra, p_new, level=level, role=RAP)
         return rap.eliminate_zeros(0.0), rows
 
 
@@ -206,11 +204,10 @@ def patched_resetup(
     a: CSRMatrix,
     reuse: AMGHierarchy,
     params: SetupParams,
-    spgemm: Callable | None,
+    spgemm: SetupProduct | None,
     *,
     patcher=None,
     threshold: float = 0.5,
-    on_level_built: Callable | None = None,
 ) -> tuple[AMGHierarchy | None, str | None]:
     """Patch *reuse* into the hierarchy a cold setup on *a* would build.
 
@@ -256,10 +253,7 @@ def patched_resetup(
             stats["levels"].append({"level": k, "dirty": 0, "frac": 0.0,
                                     "interp_rows": 0, "coarse_rows": 0})
             stats["clean_levels"] += 1
-            coarse = reuse.levels[k + 1].a
-            if on_level_built is not None:
-                on_level_built(k + 1, coarse)
-            current = coarse
+            current = reuse.levels[k + 1].a
             continue
 
         frac = dv.shape[0] / max(current.nrows, 1)
@@ -334,8 +328,6 @@ def patched_resetup(
             "coarse_rows": int(dc.shape[0]),
         })
         stats["patched_levels"] += 1
-        if on_level_built is not None:
-            on_level_built(k + 1, coarse)
         current = coarse
 
     cached_last = reuse.levels[nlev - 1]
@@ -386,8 +378,7 @@ def verify_patched_hierarchy(
     hierarchy: AMGHierarchy,
     a: CSRMatrix,
     params: SetupParams,
-    spgemm: Callable | None,
-    on_level_built: Callable | None = None,
+    spgemm: SetupProduct | None,
 ) -> None:
     """REPRO_CHECK differential oracle: patched setup == cold setup.
 
@@ -398,16 +389,7 @@ def verify_patched_hierarchy(
     from repro.amg.hierarchy import _amg_setup_impl
     from repro.check.violation import ContractViolation
 
-    if on_level_built is not None:
-        # Rewind the caller's level tracker: the patched pass drove it to
-        # the coarsest level, and a driver closure (BoomerAMG) derives the
-        # per-product precision from it — without the reset the rerun's
-        # fine-level products would run at the coarse levels' precision.
-        on_level_built(0, a)
-    cold = _amg_setup_impl(
-        a, params, spgemm,
-        on_level_built=on_level_built, reuse=None, galerkin_planner=None,
-    )
+    cold = _amg_setup_impl(a, params, spgemm, reuse=None)
     if cold.num_levels != hierarchy.num_levels:
         raise ContractViolation(
             "amg_setup", "setup/patched-differential",

@@ -51,6 +51,7 @@ _SMOKE = {
     "solver": 15,
     "partition": 20,
     "evolve": 15,
+    "evolve_mixed": 20,
 }
 _FULL_MULTIPLIER = 4
 
@@ -280,32 +281,86 @@ def _fuzz_evolve(case) -> None:
                 f"seed={seed})",
             )
         h = amg_setup(a, reuse=prev_h, patch=True)
-        cold = amg_setup(a)
-        if h.num_levels != cold.num_levels:
+        _check_cold_identical(h, amg_setup(a),
+                              f"{kind}, nx={nx}, frac={frac}, seed={seed}")
+        prev_mat, prev_h = a, h
+    _bump()
+
+
+def _check_cold_identical(h, cold, context: str) -> None:
+    """Every level operator and smoothing diagonal of *h* bytewise equal
+    to those of the cold setup *cold*."""
+    if h.num_levels != cold.num_levels:
+        raise ContractViolation(
+            "amg_setup", "patch/cold-identical",
+            f"level count {h.num_levels} != cold {cold.num_levels} "
+            f"({context}, patched={h.patched})",
+        )
+    for k, (lp, lc) in enumerate(zip(h.levels, cold.levels)):
+        for name in ("a", "p", "r"):
+            mp, mc = getattr(lp, name), getattr(lc, name)
+            if (mp is None) != (mc is None):
+                raise ContractViolation(
+                    "amg_setup", "patch/cold-identical",
+                    f"level {k} operator {name!r} presence differs",
+                )
+            if mp is None:
+                continue
+            if not (np.array_equal(mp.indptr, mc.indptr)
+                    and np.array_equal(mp.indices, mc.indices)
+                    and mp.data.tobytes() == mc.data.tobytes()):
+                raise ContractViolation(
+                    "amg_setup", "patch/cold-identical",
+                    f"level {k} operator {name!r} differs from the cold "
+                    f"setup ({context}, patched={h.patched})",
+                )
+        if lp.dinv.tobytes() != lc.dinv.tobytes():
             raise ContractViolation(
                 "amg_setup", "patch/cold-identical",
-                f"level count {h.num_levels} != cold {cold.num_levels}",
+                f"level {k} smoothing diagonal differs from the cold "
+                f"setup ({context}, patched={h.patched})",
             )
-        for k, (lp, lc) in enumerate(zip(h.levels, cold.levels)):
-            for name in ("a", "p", "r"):
-                mp, mc = getattr(lp, name), getattr(lc, name)
-                if (mp is None) != (mc is None):
-                    raise ContractViolation(
-                        "amg_setup", "patch/cold-identical",
-                        f"level {k} operator {name!r} presence differs",
-                    )
-                if mp is None:
-                    continue
-                if not (np.array_equal(mp.indptr, mc.indptr)
-                        and np.array_equal(mp.indices, mc.indices)
-                        and np.array_equal(mp.data, mc.data)):
-                    raise ContractViolation(
-                        "amg_setup", "patch/cold-identical",
-                        f"level {k} operator {name!r} differs from the "
-                        f"cold setup ({kind}, nx={nx}, frac={frac}, "
-                        f"seed={seed}, patched={h.patched})",
-                    )
-        prev_mat, prev_h = a, h
+
+
+_evolve_mixed_case = st.tuples(
+    st.sampled_from(["newton", "timestep", "refine"]),
+    st.sampled_from([8, 12, 17]),
+    st.sampled_from([0.02, 0.08, 0.25]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 0.1, 0.03]),
+)
+
+
+def _fuzz_evolve_mixed(case) -> None:
+    """Evolving sequences through the driver on the mixed schedule.
+
+    ``BoomerAMG(AmgTBackend(precision="mixed"))`` re-sets-up each step
+    with ``reuse=True, patch=True`` at a drawn dirty-row budget, so the
+    patch succeeds or falls back at any level.  Whatever it returns must
+    carry the bits of a fresh solver's cold setup: a fallback that ran a
+    level's products at another level's precision shows up here.
+    """
+    from repro.gpu import A100
+    from repro.hypre.backends import AmgTBackend
+    from repro.hypre.boomeramg import BoomerAMG
+    from repro.matrices.generators import evolving_sequence
+
+    kind, nx, frac, seed, threshold = case
+
+    def fresh() -> BoomerAMG:
+        return BoomerAMG(AmgTBackend(A100, precision="mixed"))
+
+    seq = evolving_sequence(kind, nx=nx, steps=2, dirty_frac=frac, seed=seed)
+    solver = fresh()
+    solver.setup(seq[0])
+    for a in seq[1:]:
+        h = solver.setup(a, reuse=True, patch=True,
+                         patch_threshold=threshold)
+        _check_cold_identical(
+            h, fresh().setup(a),
+            f"mixed {kind}, nx={nx}, frac={frac}, seed={seed}, "
+            f"threshold={threshold}",
+        )
     _bump()
 
 
@@ -317,6 +372,7 @@ _TARGETS = [
     ("solver", _fuzz_solver, _solver_case),
     ("partition", _fuzz_partition, _partition_case),
     ("evolve", _fuzz_evolve, _evolve_case),
+    ("evolve_mixed", _fuzz_evolve_mixed, _evolve_mixed_case),
 ]
 
 

@@ -145,10 +145,20 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def galerkin_plan(self, r, a, p, perf, phase, level, on_result=None):
-        """Fused RAP plan, or None when the backend has no setup engine
-        (the baseline runs the plain two-call Galerkin path)."""
-        return None
+    def rap_device(
+        self,
+        r: HypreCSRMatrix,
+        a: HypreCSRMatrix,
+        p: HypreCSRMatrix,
+        perf: PerformanceLog,
+        phase: str,
+        level: int,
+    ) -> HypreCSRMatrix:
+        """``R @ A @ P`` of the exact re-setup: two :meth:`matmul_device`
+        products here; the AmgT backend fuses them through its plan cache."""
+        ra = self.matmul_device(r, a, perf, phase, level)
+        return self.matmul_device(ra, p, perf, phase, level,
+                                  is_rap_result=True)
 
     def hierarchy_patcher(self, reuse, perf, phase: str = "setup"):
         """Dirty-row patch engine for incremental re-setups, or None when
@@ -343,26 +353,44 @@ class AmgTBackend(KernelBackend):
         """Block-aligned mBSR patch engine over the spliced plan cache."""
         return AmgTPatcher(self, reuse, perf, phase)
 
-    def galerkin_plan(
-        self,
-        r: HypreCSRMatrix,
-        a: HypreCSRMatrix,
-        p: HypreCSRMatrix,
-        perf: PerformanceLog,
-        phase: str,
-        level: int,
-        on_result=None,
-    ) -> "_BackendGalerkinPlan":
-        """Fused RAP plan for :func:`repro.amg.galerkin.galerkin_product`.
-
-        The returned object replays ``R @ A @ P`` as two numeric-only
-        passes against the pattern-keyed plan cache, skipping both
-        symbolic phases and the intermediate's CSR round-trip.  The
-        perf/pricing treatment matches :meth:`matmul_device` call for
-        call: two ``spgemm`` records plus the RAP's MBSR2CSR record.
-        """
-        return _BackendGalerkinPlan(self, r, a, p, perf, phase, level,
-                                    on_result)
+    def rap_device(self, r, a, p, perf, phase, level):
+        """Fused ``R @ A @ P``: two numeric-only passes against the
+        pattern-keyed plan cache, skipping both symbolic phases and the
+        intermediate's CSR round-trip.  Priced like :meth:`matmul_device`
+        call for call: two ``spgemm`` records plus the RAP's MBSR2CSR."""
+        cache = self.setup_cache
+        for w in (r, a, p):
+            self._ensure_mbsr(w, perf, phase, level)
+        prec = self.schedule.for_level(level)
+        rm, am, pm = (w.mbsr_at_precision(prec) for w in (r, a, p))
+        plan, fresh = cache.rap_plan(rm, am, pm)
+        sp = _kernel_span("spgemm", phase, level)
+        with sp:
+            rap_mbsr, records = cache.rap_numeric(
+                plan, rm, am, pm, prec, out_dtype=np.float64,
+                storage_itemsize=self.storage_itemsize,
+                # A plan built by this very call pays its analysis + symbolic
+                # cost here; a cached plan replays numeric-only.
+                charge_plan_build=fresh,
+            )
+        if sp:
+            sp.set(fused="rap", plan_reused=not fresh)
+        for rec in records:
+            self._reprice_mma(rec, prec)
+            rec.phase, rec.level = phase, level
+            rec.price(self.cost)
+            perf.append(rec)
+            obs_metrics.observe_kernel(rec)
+        if sp:
+            sp.set(sim_us=sum(rec.sim_time_us for rec in records))
+        csp = _kernel_span("mbsr2csr", phase, level)
+        with csp:
+            csr = cache.mbsr2csr(rap_mbsr).eliminate_zeros(0.0)
+            out = HypreCSRMatrix(csr=csr, setup_cache=cache)
+            out.amgt_csr2mbsr()
+            out.conversion_stats = None
+        self._record_mbsr2csr(out, perf, phase, level)
+        return out
 
     def matvec_device(self, a, x, perf, phase, level):
         a = HypreCSRMatrix.wrap(a)
@@ -415,72 +443,6 @@ class AmgTBackend(KernelBackend):
         rec.phase, rec.level = phase, level
         rec.price(self.cost)
         return binding
-
-
-class _BackendGalerkinPlan:
-    """One fused ``R @ A @ P`` through the AmgT backend's plan cache.
-
-    Implements the ``matches`` / ``replay`` protocol of
-    :func:`repro.amg.galerkin.galerkin_product`.  ``consumed`` turns True
-    once a replay ran, letting the setup driver keep its SpGEMM call
-    accounting consistent (the replay never touches the spgemm closure).
-    """
-
-    def __init__(self, backend, r, a, p, perf, phase, level, on_result=None):
-        self.backend = backend
-        self.rw, self.aw, self.pw = r, a, p
-        self.perf, self.phase, self.level = perf, phase, level
-        self.on_result = on_result
-        self.consumed = False
-
-    def matches(self, r, a, p) -> bool:
-        return (
-            r.pattern_key() == self.rw.csr.pattern_key()
-            and a.pattern_key() == self.aw.csr.pattern_key()
-            and p.pattern_key() == self.pw.csr.pattern_key()
-        )
-
-    def replay(self, r, a, p):
-        backend = self.backend
-        perf, phase, level = self.perf, self.phase, self.level
-        cache = backend.setup_cache
-        for w in (self.rw, self.aw, self.pw):
-            backend._ensure_mbsr(w, perf, phase, level)
-        prec = backend.schedule.for_level(level)
-        rm = self.rw.mbsr_at_precision(prec)
-        am = self.aw.mbsr_at_precision(prec)
-        pm = self.pw.mbsr_at_precision(prec)
-        plan, fresh = cache.rap_plan(rm, am, pm)
-        sp = _kernel_span("spgemm", phase, level)
-        with sp:
-            rap_mbsr, records = cache.rap_numeric(
-                plan, rm, am, pm, prec, out_dtype=np.float64,
-                storage_itemsize=backend.storage_itemsize,
-                # A plan built by this very call pays its analysis + symbolic
-                # cost here; a cached plan replays numeric-only.
-                charge_plan_build=fresh,
-            )
-        if sp:
-            sp.set(fused="rap", plan_reused=not fresh)
-        for rec in records:
-            backend._reprice_mma(rec, prec)
-            rec.phase, rec.level = phase, level
-            rec.price(backend.cost)
-            perf.append(rec)
-            obs_metrics.observe_kernel(rec)
-        if sp:
-            sp.set(sim_us=sum(rec.sim_time_us for rec in records))
-        csp = _kernel_span("mbsr2csr", phase, level)
-        with csp:
-            csr = cache.mbsr2csr(rap_mbsr).eliminate_zeros(0.0)
-            out = HypreCSRMatrix(csr=csr, setup_cache=cache)
-            out.amgt_csr2mbsr()
-            out.conversion_stats = None
-        backend._record_mbsr2csr(out, perf, phase, level)
-        if self.on_result is not None:
-            self.on_result(out)
-        self.consumed = True
-        return csr
 
 
 class AmgTPatcher:

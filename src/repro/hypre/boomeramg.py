@@ -6,14 +6,15 @@ through ``backend.matvec_device``, so the baseline HYPRE configuration and
 both AmgT configurations are timed on *identical* algebra, coarsening and
 call counts — the alignment the paper enforces in Sec. V.A.
 
-Per level the setup performs exactly three SpGEMM calls when extended+i
-interpolation is used: one inside interpolation and two in the Galerkin
-product; the third call of a level is the RAP result, whose MBSR2CSR
-conversion (Fig. 6 step 5) the AmgT backend records.  The driver also
-charges the non-kernel work (strength + PMIS coarsening + truncation in
-setup; vector updates and the coarsest direct solve in solve) to the
-``other`` budget with O(nnz)/O(n) traffic estimates so the phase
-breakdowns of Figs. 1 and 2 have their denominators.
+Every setup product arrives with its level index and role (see
+:data:`repro.amg.galerkin.SetupProduct`): the driver hands both straight
+to the backend, which runs the product at that level's precision and
+records the MBSR2CSR conversion (Fig. 6 step 5) of each R·A·P result.
+The driver keeps no state between products.  It also charges the
+non-kernel work (strength + PMIS coarsening + truncation in setup; vector
+updates and the coarsest direct solve in solve) to the ``other`` budget
+with O(nnz)/O(n) traffic estimates so the phase breakdowns of Figs. 1 and
+2 have their denominators.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amg.cycle import SolveParams, SolveStats, amg_solve, v_cycle
+from repro.amg.galerkin import RAP
 from repro.amg.hierarchy import AMGHierarchy, SetupParams, amg_setup
 from repro.formats.csr import CSRMatrix
 from repro.hypre.backends import KernelBackend
@@ -74,6 +76,11 @@ class BoomerAMG:
     ) -> AMGHierarchy:
         """Build (or numerically rebuild) the hierarchy for *a*.
 
+        Every product of the setup reaches the backend with the level
+        index and role that :func:`~repro.amg.hierarchy.amg_setup` passes
+        it, so each runs at its own level's precision on every path:
+        cold, exact re-setup, patch and patch fallback.
+
         Parameters
         ----------
         a:
@@ -101,7 +108,6 @@ amg_setup`).
         """
         perf = self.perf
         backend = self.backend
-        state = {"level": 0, "calls_in_level": 0}
         wrapped_cache: dict[int, HypreCSRMatrix] = {}
         if reuse is True:
             reuse = self.hierarchy
@@ -126,38 +132,28 @@ amg_setup`).
                 wrapped_cache[id(mat)] = w
             return w
 
-        def spgemm(x: CSRMatrix, y: CSRMatrix) -> CSRMatrix:
-            state["calls_in_level"] += 1
-            is_rap = state["calls_in_level"] % 3 == 0
+        def spgemm(x: CSRMatrix, y: CSRMatrix, *, level: int,
+                   role: str) -> CSRMatrix:
             out = backend.matmul_device(
-                wrap(x), wrap(y), perf, "setup", state["level"],
-                is_rap_result=is_rap,
+                wrap(x), wrap(y), perf, "setup", level,
+                is_rap_result=role == RAP,
             )
             wrapped_cache[id(out.csr)] = out
             return out.csr
 
-        def on_level_built(level_index: int, coarse: CSRMatrix) -> None:
-            # Charge the level's non-SpGEMM setup work (strength, PMIS,
-            # interpolation assembly, truncation) before moving on.
-            state["level"] = level_index
-
-        def galerkin_planner(r: CSRMatrix, cur: CSRMatrix, p: CSRMatrix):
-            def register(out: HypreCSRMatrix) -> None:
-                wrapped_cache[id(out.csr)] = out
-
-            return backend.galerkin_plan(
-                wrap(r), wrap(cur), wrap(p), perf, "setup", state["level"],
-                on_result=register,
-            )
+        def fused_rap(r: CSRMatrix, cur: CSRMatrix, p: CSRMatrix, *,
+                      level: int) -> CSRMatrix:
+            out = backend.rap_device(wrap(r), wrap(cur), wrap(p), perf,
+                                     "setup", level)
+            wrapped_cache[id(out.csr)] = out
+            return out.csr
 
         # The phase span is opened here (not just inside amg_setup) so the
         # driver's non-kernel charges below land inside it; amg_setup's own
         # phase_span then no-ops.
         with obs_trace.phase_span("setup"):
             hierarchy = amg_setup(a, self.params, spgemm=spgemm,
-                                  on_level_built=on_level_built,
-                                  reuse=reuse,
-                                  galerkin_planner=galerkin_planner,
+                                  reuse=reuse, fused_rap=fused_rap,
                                   patch=patch, patcher=patcher,
                                   patch_threshold=patch_threshold)
             # Non-kernel setup work per level.

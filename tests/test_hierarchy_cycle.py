@@ -5,6 +5,7 @@ import pytest
 
 from repro.amg.coarse import CoarseSolver
 from repro.amg.cycle import SolveParams, SolveStats, amg_solve, v_cycle
+from repro.amg.galerkin import INTERP, RA, RAP, csr_product
 from repro.amg.hierarchy import SetupParams, amg_setup
 from repro.amg.smoothers import (
     jacobi_sweep,
@@ -152,10 +153,17 @@ class TestSetup:
         h = amg_setup(poisson2d(1))
         assert h.num_levels == 1
 
-    def test_on_level_built_callback(self):
+    def test_setup_products_carry_level_and_role(self):
         seen = []
-        amg_setup(poisson2d(12), on_level_built=lambda k, a: seen.append(k))
-        assert seen == list(range(1, len(seen) + 1))
+
+        def spy(x, y, *, level, role):
+            seen.append((level, role))
+            return csr_product(x, y)
+
+        h = amg_setup(poisson2d(12), spgemm=spy)
+        assert h.num_levels > 2
+        assert seen == [(k, role) for k in range(h.num_levels - 1)
+                        for role in (INTERP, RA, RAP)]
 
 
 class TestSolve:

@@ -152,6 +152,35 @@ class TestBoomerAMG:
         # one MBSR2CSR per coarse level (the RAP result of Fig. 6 step 5)
         assert driver.perf.count("mbsr2csr") == levels - 1
 
+    def test_aggregation_products_at_level_precision(self):
+        backend = AmgTBackend(H100, precision="mixed")
+        driver = BoomerAMG(backend, SetupParams(amg_family="aggregation"))
+        driver.setup(poisson2d(24))
+        levels = driver.hierarchy.num_levels
+        assert levels > 3
+        recs = [r for r in driver.perf.records
+                if r.phase == "setup" and r.kernel == "spgemm"]
+        # 1 smoothing + 2 Galerkin products per non-coarsest level.
+        assert [r.level for r in recs] == [
+            k for k in range(levels - 1) for _ in range(3)
+        ]
+        assert all(r.precision == backend.schedule.for_level(r.level)
+                   for r in recs)
+
+    def test_direct_interp_one_mbsr2csr_per_level(self):
+        driver = BoomerAMG(AmgTBackend(H100),
+                           SetupParams(interp_method="direct"))
+        driver.setup(poisson2d(24))
+        levels = driver.hierarchy.num_levels
+        assert levels > 2
+        # No interpolation product: R·A, R·A·P, then the RAP's MBSR2CSR.
+        assert [(r.kernel, r.level) for r in driver.perf.records
+                if r.phase == "setup"
+                and r.kernel in ("spgemm", "mbsr2csr")] == [
+            (kernel, k) for k in range(levels - 1)
+            for kernel in ("spgemm", "spgemm", "mbsr2csr")
+        ]
+
     def test_solve_requires_setup(self):
         driver = BoomerAMG(HypreBackend(A100))
         with pytest.raises(RuntimeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.amg.coarsen import pmis_coarsen
-from repro.amg.galerkin import galerkin_product
+from repro.amg.galerkin import RA, RAP, galerkin_product
 from repro.amg.interp import build_interpolation, truncate_interpolation
 from repro.amg.strength import strength_of_connection
 from repro.formats.csr import CSRMatrix
@@ -181,14 +181,15 @@ class TestGalerkin:
         p = build_interpolation(a, s, res.cf_marker)
         calls = []
 
-        def spy(x, y):
-            calls.append(1)
+        def spy(x, y, *, level, role):
+            calls.append((level, role))
             from repro.kernels.baseline import csr_spgemm
 
             return csr_spgemm(x, y)[0]
 
-        galerkin_product(p.transpose(), a, p, spgemm=spy)
-        assert len(calls) == 2  # "two SpGEMM calls" (Alg. 1 line 5)
+        galerkin_product(p.transpose(), a, p, spgemm=spy, level=2)
+        # "two SpGEMM calls" (Alg. 1 line 5), each told its level and role
+        assert calls == [(2, RA), (2, RAP)]
 
     def test_drop_tol(self):
         a = poisson2d(6)

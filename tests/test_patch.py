@@ -282,6 +282,32 @@ class TestPatchedSetupAmgT:
             make_backend("amgt", A100, precision=precision)).setup(b)
         _assert_identical(hp, cold)
 
+    def test_backend_mixed_fallback_after_level0_matches_cold(self):
+        # The patch processes level 0, then trips the cumulative dirty-row
+        # budget on level 1: the cold fallback must run level 0 at level
+        # 0's precision, exactly like a fresh solver's cold setup.
+        a = poisson2d(20)
+        b = _perturb(a, seed=21, n_edits=10, grow=2)
+
+        def solver():
+            return BoomerAMG(make_backend("amgt", A100, precision="mixed"))
+
+        probe = solver()
+        hp = probe.setup(b, reuse=probe.setup(a), patch=True)
+        d0, d1 = (e["dirty"] for e in hp.patch_stats["levels"][:2])
+        assert d0 > 0 and d1 > 0
+        s = solver()
+        h0 = s.setup(a)
+        obs.REGISTRY.reset()
+        with obs.trace_region():
+            hf = s.setup(b, reuse=h0, patch=True,
+                         patch_threshold=(d0 + d1 / 2) / a.nrows)
+        counts = _reuse_counts()
+        obs.REGISTRY.reset()
+        assert counts == {("fallback", "dirty-fraction"): 1.0}
+        assert not hf.patched
+        _assert_identical(hf, solver().setup(b))
+
     def test_backend_perf_records_patch_phase(self):
         a = poisson2d(20)
         solver = BoomerAMG(AmgTBackend(A100, precision="fp64"))

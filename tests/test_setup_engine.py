@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.check.runtime import checked_region
 from repro.formats.convert import csr_to_mbsr, mbsr_to_csr
 from repro.gpu import A100
-from repro.hypre.backends import AmgTBackend
+from repro.hypre.backends import AmgTBackend, HypreBackend
 from repro.hypre.boomeramg import BoomerAMG
 from repro.kernels.setup_cache import SetupPlanCache
 from repro.kernels.spgemm import mbsr_spgemm
@@ -333,6 +333,19 @@ class TestResetup:
             assert rec.counters.launches == 1
             assert rec.detail["symbolic_reused"]
             assert rec.detail["fused_rap"] in ("ra", "rap")
+
+    def test_hypre_resetup_two_products_per_level(self):
+        a = poisson2d(20)
+        amg = BoomerAMG(HypreBackend(A100))
+        cold = amg.setup(a)
+        n0 = len(amg.perf.records)
+        h = amg.setup(a, reuse=True)
+        assert h.reused
+        _assert_hierarchies_identical(cold, h)
+        assert [r.level for r in amg.perf.records[n0:]
+                if r.kernel == "spgemm"] == [
+            k for k in range(h.num_levels - 1) for _ in range(2)
+        ]
 
     def test_resetup_accepts_explicit_hierarchy_and_solves(self):
         from repro.amg.cycle import SolveParams
